@@ -14,7 +14,7 @@ FUZZTIME ?= 10s
 # the seed it printed. Override to replay: make chaos CHAOS_SEED=12345
 CHAOS_SEED ?= 20240807
 
-.PHONY: build test bench bench-race bench-search cover fuzz-smoke chaos lint fmt apicheck
+.PHONY: build test bench bench-race bench-search bench-e2e e2e-smoke cover fuzz-smoke chaos lint fmt apicheck
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,25 @@ bench-race:
 bench-search:
 	BENCH_SEARCH_JSON=$(CURDIR)/BENCH_search.json \
 		$(GO) test -run='^$$' -bench=BenchmarkColdSearch -benchtime=2s ./internal/search
+
+# End-to-end benchmark (e2ebench/, a module of its own): every workload
+# in turn, 10 s each, as BENCHMARK.json's run_seconds sets. Each run
+# checks every output and ends with its JSON result line; a wrong output
+# fails the target. Other seeds or run lengths: call e2ebench/run.sh.
+bench-e2e:
+	for w in cold-zoo warm-serve churn-serve restart-disk; do \
+		bash e2ebench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
+
+# Short cold-zoo pass: every request's plans are checked against the
+# sequential reference and the numeric oracle executes Pareto plans, so
+# this guards the cold search end to end. Fails unless the result line
+# reports "correct":true.
+e2e-smoke:
+	@out="$$(bash e2ebench/run.sh --workload cold-zoo --seed 1 --seconds 2 --trace 0)"; \
+	status=$$?; echo "$$out"; \
+	[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' \
+		|| { echo "cold-zoo smoke: outputs not correct"; exit 1; }
 
 # Total-statement coverage, gated against COVER_MIN so the trajectory
 # never regresses past the seed.

@@ -574,3 +574,83 @@ func TestFleetStaleV7BuilderRecords(t *testing.T) {
 		t.Fatalf("/cachestats = %+v, want remote_rejects counted", st)
 	}
 }
+
+// TestFleetStaleV8BuilderRecords is the fleet half of the v8→v9
+// upgrade regression for the release that dropped the complete-space
+// count from plan records: during a rolling upgrade, replicas still
+// running the previous pipeline ("t10-builder/8") keep pushing and
+// serving records sealed under the old builder. A v9 replica must
+// reject both directions as counted provenance failures — 422 on a
+// pushed record, a counted remote reject plus a clean cold compile on a
+// fetched one — and then overwrite the miss with its own v9 record.
+func TestFleetStaleV8BuilderRecords(t *testing.T) {
+	const salt = "fleet-secret"
+
+	// push direction: a v8 replica PUTs its sealed record to /plans
+	sv, ts := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt})
+	k := plancache.Fingerprint("rolling-upgrade-v9")
+	v8 := plancache.New(plancache.Options{Dir: t.TempDir(), Salt: []byte(salt), Builder: "t10-builder/8"})
+	if err := v8.PutBlob(k, []byte(`{"pareto":[],"complete":"1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	staleSealed, _ := v8.RawBlob(k)
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/plans/"+k.String(), bytes.NewReader(staleSealed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("v8-sealed PUT: %s, want 422", resp.Status)
+	}
+	if got := sv.planPutRejects.Load(); got != 1 {
+		t.Fatalf("plan_put_rejects = %d, want the stale push counted", got)
+	}
+	if st := getStats(t, ts.URL); st.ImportRejects != 1 {
+		t.Fatalf("/cachestats = %+v, want import_rejects = 1", st)
+	}
+
+	// fetch direction: a peer that answers every /plans GET with a
+	// record sealed under the requested key by the v8 builder — exactly
+	// what a not-yet-upgraded replica's store serves during the rollout
+	stalePeer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		pk, ok := plancache.ParseKey(strings.TrimPrefix(r.URL.Path, "/plans/"))
+		if !ok || r.Method != http.MethodGet {
+			http.NotFound(w, r)
+			return
+		}
+		if err := v8.PutBlob(pk, []byte(`{"pareto":[],"complete":"1"}`)); err != nil {
+			t.Error(err)
+		}
+		raw, _ := v8.RawBlob(pk)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(raw)
+	}))
+	t.Cleanup(stalePeer.Close)
+
+	remote := plancache.NewRemote(plancache.RemoteOptions{Peers: []string{stalePeer.URL}, Seed: 1})
+	_, b := fleetReplica(t, replicaOptions{dir: t.TempDir(), salt: salt, remote: remote})
+	var out searchResponse
+	if resp := postJSON(t, b.URL+"/compile", `{"op":{"name":"upgrade-v9","m":256,"k":256,"n":512}}`, &out); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile against a stale-peer fleet: %s, want a clean 200", resp.Status)
+	}
+	checkTelemetry(t, "stale-peer compile", out.Telemetry)
+	if out.Telemetry.Route != "cold" {
+		t.Fatalf("route = %q, want cold (the v8 peer record must not rehydrate)", out.Telemetry.Route)
+	}
+	rs := remoteStats(t, b.URL)
+	if rs == nil || rs.Rejects < 1 {
+		t.Fatalf("replica B remote stats = %+v, want the stale peer record counted as a reject", rs)
+	}
+	st := getStats(t, b.URL)
+	if st.RemoteRejects < 1 || st.DiskMisses < 1 {
+		t.Fatalf("/cachestats = %+v, want remote_rejects and a disk miss counted", st)
+	}
+	if st.DiskWrites != 1 {
+		t.Fatalf("/cachestats = %+v, want the cold result written once under v9", st)
+	}
+}

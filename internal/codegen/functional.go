@@ -41,7 +41,7 @@ func Execute(p *core.Plan, inputs map[string][]float32) ([]float32, error) {
 	// shapes of the full tensors
 	fullShapes := make([][]int, len(p.Tensors))
 	for ti := range p.Tensors {
-		fullShapes[ti] = e.TensorShape(p.Tensors[ti].Ref)
+		fullShapes[ti] = e.TensorShape(*p.Tensors[ti].Ref)
 	}
 
 	// --- allocate + place ------------------------------------------------
@@ -50,7 +50,7 @@ func Execute(p *core.Plan, inputs map[string][]float32) ([]float32, error) {
 		for ti := range p.Tensors {
 			rt := &p.Tensors[ti]
 			buf := make([]float32, rt.PartElems())
-			if !rt.IsOutput {
+			if ti < len(p.Tensors)-1 { // inputs; the output starts empty
 				in, ok := inputs[rt.Ref.Name]
 				if !ok {
 					return nil, fmt.Errorf("codegen: missing input %s", rt.Ref.Name)

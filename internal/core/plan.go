@@ -147,9 +147,10 @@ func NewPlan(e *expr.Expr, fop []int, fts [][]int, cfg Config) (*Plan, error) {
 	axisFts := make([][]int, len(e.Axes)) // temporal factors acting on each axis
 	for ti, tr := range tensors {
 		rt := &p.Tensors[ti]
-		rt.Index = ti
-		rt.Ref = tr
-		rt.IsOutput = ti == nt-1
+		rt.Ref = &e.Output
+		if ti < len(e.Inputs) {
+			rt.Ref = &e.Inputs[ti]
+		}
 		nd := len(tr.Dims)
 		rt.Fs = make([]int, nd)
 		rt.Ft = make([]int, nd)
@@ -187,7 +188,7 @@ func NewPlan(e *expr.Expr, fop []int, fts [][]int, cfg Config) (*Plan, error) {
 				if dim.Compound() || dim.Terms[0].Stride != 1 {
 					return nil, fmt.Errorf("plan %s: tensor %s dim %d is compound/strided and cannot be temporally partitioned", e.Name, tr.Name, d)
 				}
-				if rt.IsOutput {
+				if ti == nt-1 {
 					return nil, fmt.Errorf("plan %s: output tensor %s cannot be temporally partitioned", e.Name, tr.Name)
 				}
 				rt.Ft[d] = f

@@ -26,12 +26,12 @@ import (
 
 // RTensor is the distributed-tensor descriptor of Fig 5: how one tensor
 // of an operator is partitioned, mapped and shifted across cores.
+// Plan.Tensors holds one per Expr.Tensors() entry, in that order
+// (inputs first, output last).
 type RTensor struct {
-	// Index is the tensor's position in Expr.Tensors() (inputs first,
-	// output last).
-	Index    int
-	Ref      expr.TensorRef
-	IsOutput bool
+	// Ref is the tensor in Plan.Expr itself, shared by every plan of the
+	// operator (a cached Pareto set holds dozens of plans).
+	Ref *expr.TensorRef
 
 	// Fs is the spatial partition factor per dim (f_s, Table 1): the
 	// product of Fop over the axes of each dim.

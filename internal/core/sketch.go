@@ -32,27 +32,18 @@ type PlanSketch struct {
 	tensors  []expr.TensorRef
 	shiftBuf int64
 
-	// Results of the last successful Compute.
+	// Results of the last successful Compute or Finish.
 	Cores      int
 	TotalSteps int
 	MemPerCore int64
 	SubLen     []int // padded per-axis sub-operator extent
 
-	// Last Compute inputs, retained for LowerBoundNs.
-	fop []int
-	fts [][]int
-
 	// Scratch, reused between candidates.
-	axisLCM   []int
-	axisMax   []int
 	rpAxis    []int
-	steps     []int
 	ext       []int
 	partBytes []int64
 	shareP    []int
 	missing   [][]int
-	rotBuf    []int
-	anyRot    bool
 
 	// Incremental (partial-assignment) state — see Begin/Fix/Unfix.
 	pFop     []int
@@ -79,17 +70,13 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 	na, nt := len(e.Axes), len(tensors)
 	ps := &PlanSketch{
 		e: e, tensors: tensors, shiftBuf: int64(cfg.ShiftBufBytes),
-		SubLen:  make([]int, na),
-		axisLCM: make([]int, na),
-		axisMax: make([]int, na),
-		rpAxis:  make([]int, na),
-		steps:   make([]int, na),
-		ext:     make([]int, na),
+		SubLen: make([]int, na),
+		rpAxis: make([]int, na),
+		ext:    make([]int, na),
 
 		partBytes: make([]int64, nt),
 		shareP:    make([]int, nt),
 		missing:   make([][]int, nt),
-		rotBuf:    make([]int, 0, 2*nt),
 
 		pRaw:     make([]int, na),
 		pLCM:     make([][]int, nt+1),
@@ -118,141 +105,63 @@ func NewPlanSketch(e *expr.Expr, cfg Config) *PlanSketch {
 // check. It returns false exactly when NewPlan would return an error; on
 // true, Cores, TotalSteps, MemPerCore and SubLen are valid until the
 // next call. fop and fts are borrowed, not copied.
+//
+// Compute is the incremental form run to completion — Begin, one Fix
+// per tensor, Finish — so it overwrites any partial assignment in
+// progress on the same sketch.
 func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
-	e := ps.e
-	if len(fop) != len(e.Axes) {
-		return false
-	}
-	ps.fop, ps.fts = fop, fts
-	ps.Cores = 1
-	for a, f := range fop {
-		if f < 1 || f > e.Axes[a].Size {
-			return false
-		}
-		ps.Cores *= f
-	}
 	if fts != nil && len(fts) != len(ps.tensors) {
 		return false
 	}
-	for a := range e.Axes {
-		ps.axisLCM[a] = 1
-		ps.axisMax[a] = 1
+	if !ps.Begin(fop) {
+		return false
 	}
-	ps.anyRot = false
-
-	// First pass: sharing degrees, temporal-factor validity, per-axis
-	// factor aggregation (the LCM/max NewPlan derives from axisFts).
-	for ti, tr := range ps.tensors {
-		ps.missing[ti] = ps.missing[ti][:0]
-		shareP := 1
-		for a := range e.Axes {
-			if fop[a] > 1 && !expr.ContainsAxis(tr, a) {
-				ps.missing[ti] = append(ps.missing[ti], a)
-				shareP *= fop[a]
-			}
-		}
-		ps.shareP[ti] = shareP
-
-		ftProd := 1
-		if fts != nil && fts[ti] != nil {
-			ft := fts[ti]
-			if len(ft) != len(tr.Dims) {
-				return false
-			}
-			for d, f := range ft {
-				if f < 1 {
-					return false
-				}
-				if f == 1 {
-					continue
-				}
-				dim := tr.Dims[d]
-				if dim.Compound() || dim.Terms[0].Stride != 1 {
-					return false
-				}
-				if ti == len(ps.tensors)-1 {
-					return false // output never takes temporal factors
-				}
-				ftProd *= f
-				a := dim.Terms[0].Axis
-				ps.axisLCM[a] = mathutil.LCM(ps.axisLCM[a], f)
-				ps.axisMax[a] = mathutil.Max(ps.axisMax[a], f)
-				ps.anyRot = true
-			}
-		}
-		if ftProd > 1 && shareP%ftProd != 0 {
+	for ti := range ps.tensors {
+		if !ps.Fix(ftOf(fts, ti)) {
 			return false
 		}
 	}
+	ps.Finish()
+	return true
+}
 
-	// Alignment: tensors rotating on one axis need disjoint sharing
-	// groups (Fig 7), exactly as NewPlan checks — one entry per rotating
-	// dim, so a tensor rotating twice on an axis conflicts with itself.
-	for a := range e.Axes {
-		if ps.axisMax[a] == 1 {
-			continue
-		}
-		ps.rotBuf = ps.rotBuf[:0]
-		for ti, tr := range ps.tensors {
-			ft := ftOf(fts, ti)
-			if ft == nil {
-				continue
-			}
-			for d, f := range ft {
-				if f > 1 && tr.Dims[d].Terms[0].Axis == a {
-					ps.rotBuf = append(ps.rotBuf, ti)
-				}
-			}
-		}
-		for i := 0; i < len(ps.rotBuf); i++ {
-			for j := i + 1; j < len(ps.rotBuf); j++ {
-				if sharesAxis(ps.missing[ps.rotBuf[i]], ps.missing[ps.rotBuf[j]]) {
-					return false
-				}
-			}
-		}
-	}
-
-	// Per-axis padding and pace.
+// Finish completes a full assignment — every tensor fixed — from the
+// prefix state: the padded extents, the pace and step counts, and the
+// per-tensor partition bytes (= Plan.Tensors[ti].PartBytes()). Fix has
+// already run every check that can reject a candidate (factor
+// eligibility, ∏ft | ShareP, rotation alignment), and NewPlan's
+// remaining two hold by construction: a rotating dim is a single
+// stride-1 axis, so its sub-extent is SubLen[a], a multiple of the
+// axis LCM and hence of its factor, and the pace SubLen[a]/max ft never
+// exceeds the partition SubLen[a]/ft. A full assignment that Fix
+// accepted is therefore valid, and Finish only prices it. Results are
+// the same fields Compute fills.
+func (ps *PlanSketch) Finish() {
+	e := ps.e
+	lcm, max := ps.pLCM[ps.pDepth], ps.pMax[ps.pDepth]
 	ps.TotalSteps = 1
 	for a := range e.Axes {
-		raw := mathutil.CeilDiv(e.Axes[a].Size, fop[a])
-		ps.SubLen[a] = mathutil.RoundUp(raw, ps.axisLCM[a])
-		ps.rpAxis[a] = ps.SubLen[a] / ps.axisMax[a]
-		ps.steps[a] = ps.axisMax[a]
-		ps.TotalSteps *= ps.steps[a]
+		ps.SubLen[a] = mathutil.RoundUp(ps.pRaw[a], lcm[a])
+		ps.rpAxis[a] = ps.SubLen[a] / max[a]
+		ps.TotalSteps *= max[a]
 	}
-
-	// Second pass: per-tensor partition bytes (= Plan.Tensors[ti].PartBytes()).
 	ps.MemPerCore = 0
 	for ti, tr := range ps.tensors {
-		ft := ftOf(fts, ti)
+		ft := ps.pFts[ti]
 		elems := int64(1)
 		for d, dim := range tr.Dims {
-			sub := e.DimSize(dim, ps.SubLen)
-			f := 1
+			part := e.DimSize(dim, ps.SubLen)
 			if ft != nil {
-				f = ft[d]
-			}
-			if sub%f != 0 {
-				return false
-			}
-			part := sub / f
-			if f > 1 {
-				a := dim.Terms[0].Axis
-				if ps.rpAxis[a] > part {
-					return false
-				}
+				part /= ft[d]
 			}
 			elems *= int64(part)
 		}
 		ps.partBytes[ti] = elems * elemSize(tr.Elem)
 		ps.MemPerCore += ps.partBytes[ti]
 	}
-	if ps.anyRot {
+	if ps.pRotLen[ps.pDepth] > 0 {
 		ps.MemPerCore += ps.shiftBuf
 	}
-	return true
 }
 
 // LowerBoundNs returns an admissible lower bound on the full estimate of
@@ -266,23 +175,24 @@ func (ps *PlanSketch) Compute(fop []int, fts [][]int) bool {
 // never exceeds the value EstimateWith would produce.
 func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) float64 {
 	e := ps.e
+	steps := ps.pMax[ps.pDepth]
 	for a := range e.Axes {
-		if ps.steps[a] > 1 {
+		if steps[a] > 1 {
 			ps.ext[a] = ps.rpAxis[a]
 		} else {
 			ps.ext[a] = ps.SubLen[a]
 		}
 	}
-	total := float64(ps.TotalSteps) * pred.Predict(taskFor(e, ps.ext, ps.steps))
+	total := float64(ps.TotalSteps) * pred.Predict(taskFor(e, ps.ext, steps))
 
 	bw := spec.LinkBytesPerNs()
 	for a := range e.Axes {
-		if ps.steps[a] <= 1 {
+		if steps[a] <= 1 {
 			continue
 		}
 		var tile int64
 		for ti, tr := range ps.tensors {
-			ft := ftOf(ps.fts, ti)
+			ft := ps.pFts[ti]
 			if ft == nil {
 				continue
 			}
@@ -294,7 +204,7 @@ func (ps *PlanSketch) LowerBoundNs(spec *device.Spec, pred costmodel.Predictor) 
 				tile += ps.partBytes[ti] * int64(ps.rpAxis[a]) / int64(ps.SubLen[a]/f)
 			}
 		}
-		total += float64(ps.steps[a]) * (float64(tile)/bw + spec.ExchangeStartupNs)
+		total += float64(steps[a]) * (float64(tile)/bw + spec.ExchangeStartupNs)
 	}
 
 	syncs := float64(ps.TotalSteps)
@@ -358,8 +268,10 @@ func ftOf(fts [][]int, ti int) []int {
 //     contribute; a predictor declaring costmodel.MonotoneLB adds an
 //     admissible compute floor priced at the completion-minimal task.
 //
-// Begin/Fix/Unfix use state disjoint from Compute's scratch: the leaf
-// of the recursion still runs the full Compute on the same sketch.
+// A recursion that reaches a full assignment finishes it in place with
+// Finish instead of recomputing it with Compute: the leaf then pays only
+// for what depends on the leaf (the padded extents and the partition
+// bytes), not for the checks its prefix already passed.
 
 // Begin starts a partial assignment for one operator partition factor.
 // It returns false when the Fop itself is out of range (NewPlan would
@@ -369,10 +281,12 @@ func (ps *PlanSketch) Begin(fop []int) bool {
 	if len(fop) != len(e.Axes) {
 		return false
 	}
+	ps.Cores = 1
 	for a, f := range fop {
 		if f < 1 || f > e.Axes[a].Size {
 			return false
 		}
+		ps.Cores *= f
 		ps.pRaw[a] = mathutil.CeilDiv(e.Axes[a].Size, f)
 		ps.pLCM[0][a] = 1
 		ps.pMax[0][a] = 1

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/costmodel"
+	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
 )
@@ -44,7 +45,12 @@ func randFts(rng *rand.Rand, e *expr.Expr) [][]int {
 // NewPlan on validity, agree exactly on per-core memory, and never bound
 // above the full estimate.
 func TestSketchMatchesNewPlan(t *testing.T) {
-	cm := newTestCostModel(t)
+	checkSketchMatchesNewPlan(t, newTestCostModel(t))
+}
+
+// checkSketchMatchesNewPlan is the sketch contract under one device's
+// cost model.
+func checkSketchMatchesNewPlan(t *testing.T, cm *costmodel.Set) {
 	cfg := DefaultConfig()
 	ops := []*expr.Expr{
 		expr.MatMul("mm", 96, 48, 64, dtype.FP16),
@@ -117,7 +123,12 @@ func TestSketchMatchesNewPlan(t *testing.T) {
 // estimate from below — and a Fix that rejects a prefix implies NewPlan
 // rejects the completion.
 func TestPartialBoundsAreAdmissible(t *testing.T) {
-	cm := newTestCostModel(t)
+	checkPartialBoundsAreAdmissible(t, newTestCostModel(t))
+}
+
+// checkPartialBoundsAreAdmissible is the subtree-bound contract under
+// one device's cost model.
+func checkPartialBoundsAreAdmissible(t *testing.T, cm *costmodel.Set) {
 	cfg := DefaultConfig()
 	ops := []*expr.Expr{
 		expr.MatMul("mm", 96, 48, 64, dtype.FP16),
@@ -244,6 +255,23 @@ func TestPartialBoundsAreAdmissible(t *testing.T) {
 	}
 	if floored < 500 {
 		t.Fatalf("only %d floored bounds exercised — the MonotoneLB compute floor is undertested", floored)
+	}
+}
+
+// TestSketchContractsGenerations runs both sketch contracts under every
+// other shipped device generation's fitted cost model: validity and
+// memory do not depend on the device, but the time bounds read its link
+// bandwidth, exchange startup and sync cost, and its predictor.
+func TestSketchContractsGenerations(t *testing.T) {
+	for _, spec := range device.Generations() {
+		if spec.Name == device.IPUMK2().Name {
+			continue // the MK2 tests above
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			cm := costmodel.MustNewSet(spec)
+			checkSketchMatchesNewPlan(t, cm)
+			checkPartialBoundsAreAdmissible(t, cm)
+		})
 	}
 }
 

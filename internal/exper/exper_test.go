@@ -76,6 +76,32 @@ func TestTables(t *testing.T) {
 	}
 }
 
+// TestFig18CompleteColumn pins Fig 18's "Complete" column digit for
+// digit. The estimator is deterministic (fixed sample seed); these are
+// the values it printed when every cold search computed it, before the
+// count moved to the on-demand Searcher.CompleteSpace.
+func TestFig18CompleteColumn(t *testing.T) {
+	tab, err := harness(t).Fig18()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"Conv (ResNet-256)":  "11031029395740428",
+		"MatMul (BERT-16)":   "10963956290027",
+		"GatherV2 (BERT-16)": "107905392794664",
+		"Pool (ResNet-256)":  "51380224",
+		"Sum (ViT-128)":      "19365888",
+	}
+	if len(tab.Rows) != len(want) {
+		t.Fatalf("Fig 18 has %d rows, want %d", len(tab.Rows), len(want))
+	}
+	for _, row := range tab.Rows {
+		if w, ok := want[row[0]]; !ok || row[1] != w {
+			t.Errorf("%s: complete = %s, want %s", row[0], row[1], w)
+		}
+	}
+}
+
 func TestFig2(t *testing.T) {
 	h := harness(t)
 	tab, err := h.Fig2()

@@ -75,12 +75,14 @@ func (h *Harness) Fig17() (*Table, error) {
 }
 
 // Fig18 regenerates the search-space size comparison: complete (all
-// plans), filtered (after rule-based constraints), optimized (Pareto).
+// plans, counted on demand — the search itself never enumerates them),
+// filtered (after rule-based constraints), optimized (Pareto).
 func (h *Harness) Fig18() (*Table, error) {
 	c, err := h.t10Exact(h.Spec)
 	if err != nil {
 		return nil, err
 	}
+	s := search.New(c.Spec, c.CM, c.Opts.Constraints, c.Opts.PlanConfig)
 	t := &Table{
 		Title: "Fig 18: intra-operator search space sizes",
 		Cols:  []string{"Operator", "Complete", "Filtered", "Optimized", "Truncated ft"},
@@ -90,7 +92,7 @@ func (h *Harness) Fig18() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		t.Add(e.Name, r.Spaces.Complete.String(), r.Spaces.Filtered, r.Spaces.Optimized,
+		t.Add(e.Name, s.CompleteSpace(e).String(), r.Spaces.Filtered, r.Spaces.Optimized,
 			r.Spaces.TruncatedFtCombos)
 	}
 	t.Notes = append(t.Notes,

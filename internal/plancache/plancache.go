@@ -106,7 +106,7 @@ const (
 // persisted plans stop being answerable by the current code — an old
 // builder's records then load as misses everywhere at once, instead of
 // each payload decoder rediscovering staleness on its own.
-const DefaultBuilder = "t10-builder/8"
+const DefaultBuilder = "t10-builder/9"
 
 // envelopeVersion versions the provenance envelope itself (the framing
 // around the payload, not the payload format).

@@ -3,7 +3,6 @@ package search
 import (
 	"encoding/json"
 	"fmt"
-	"math/big"
 	"time"
 
 	"repro/internal/core"
@@ -59,7 +58,13 @@ import (
 // against — so a v7 record was keyed by a spec this builder renders
 // differently. Bump plancache.DefaultBuilder together with this
 // constant.
-const resultFormat = 8
+//
+// v9: records dropped the complete-space count. The cold search no
+// longer computes it (only the Fig 18 experiment reads it, through
+// Searcher.CompleteSpace), so a v8 record carries a field this builder
+// neither produces nor restores. Bump plancache.DefaultBuilder together
+// with this constant.
+const resultFormat = 9
 
 // fingerprint derives the content-addressed cache key for one operator
 // search. It covers everything the search outcome depends on: the
@@ -124,7 +129,6 @@ type resultRecord struct {
 	Op        string            `json:"op"`
 	Pareto    []candidateRecord `json:"pareto"`
 	All       []candidateRecord `json:"all,omitempty"`
-	Complete  string            `json:"complete"` // big.Int, decimal
 	Filtered  int               `json:"filtered"`
 	Optimized int               `json:"optimized"`
 	Priced    int               `json:"priced,omitempty"`
@@ -160,9 +164,6 @@ func encodeResult(r *Result) ([]byte, error) {
 		TruncFt:   r.Spaces.TruncatedFtCombos,
 		FusedOps:  r.Spaces.FusedOps,
 		ElapsedNs: r.Elapsed.Nanoseconds(),
-	}
-	if r.Spaces.Complete != nil {
-		rec.Complete = r.Spaces.Complete.String()
 	}
 	rec.Pareto = make([]candidateRecord, len(r.Pareto))
 	for i := range r.Pareto {
@@ -219,12 +220,5 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	r.Spaces.CutLeaves = rec.CutLeaves
 	r.Spaces.TruncatedFtCombos = rec.TruncFt
 	r.Spaces.FusedOps = rec.FusedOps
-	if rec.Complete != "" {
-		n, ok := new(big.Int).SetString(rec.Complete, 10)
-		if !ok {
-			return nil, fmt.Errorf("cached plan of %s: bad complete-space count %q", e.Name, rec.Complete)
-		}
-		r.Spaces.Complete = n
-	}
 	return r, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -135,10 +136,6 @@ func TestDiskCacheRehydratesIdenticalPlans(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 disk hit", st)
 	}
 	samePlans(t, cold, warm)
-	if warm.Spaces.Complete == nil || cold.Spaces.Complete.Cmp(warm.Spaces.Complete) != 0 {
-		t.Errorf("complete-space count lost in roundtrip: %v vs %v",
-			cold.Spaces.Complete, warm.Spaces.Complete)
-	}
 }
 
 func TestCorruptDiskEntryFallsBackToSearch(t *testing.T) {
@@ -493,5 +490,62 @@ func TestGenerationSeparatesFingerprints(t *testing.T) {
 	sB := New(fast, testCM(), DefaultConstraints(), core.DefaultConfig())
 	if sA.fingerprint(e) == sB.fingerprint(e) {
 		t.Fatal("interconnect change did not separate cache keys")
+	}
+}
+
+// TestStaleV8BuilderRecordOverwrittenUnderV9 is the v8→v9 upgrade
+// regression for the release that took the complete-space count off
+// the cold path: a record sealed by the previous pipeline's builder
+// ("t10-builder/8") — valid JSON under a valid MAC for that era, still
+// carrying the "complete" field v9 records dropped — must be a counted
+// reject+miss for a v9 reader, trigger a fresh search, and be
+// overwritten in place with a v9-sealed record the old builder in turn
+// refuses to load.
+func TestStaleV8BuilderRecordOverwrittenUnderV9(t *testing.T) {
+	dir := t.TempDir()
+	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
+	s := newSearcher()
+	s.SetCache(plancache.New(plancache.Options{Dir: dir}))
+	key := s.fingerprint(e)
+
+	v8 := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/8"})
+	stale := `{"format":8,"op":"mm","pareto":[{"fop":[1,1,1],"fts":[null,null,null],` +
+		`"est":{"TotalNs":1,"MemPerCore":1}}],"complete":"1","filtered":1,"optimized":1}`
+	if err := v8.PutBlob(key, []byte(stale)); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := s.SearchOp(e)
+	if err != nil {
+		t.Fatalf("v8-sealed record must be a miss, got error: %v", err)
+	}
+	if len(r.Pareto) < 2 || r.Spaces.Filtered <= 1 {
+		t.Fatalf("got the v8 record's content back (pareto %d, filtered %d), want a fresh search",
+			len(r.Pareto), r.Spaces.Filtered)
+	}
+	st := s.Cache().Stats()
+	if st.DiskRejects < 1 || st.DiskMisses < 1 {
+		t.Fatalf("stats = %+v, want the stale builder counted as reject+miss", st)
+	}
+	if st.DiskWrites != 1 {
+		t.Fatalf("stats = %+v, want exactly one overwrite", st)
+	}
+
+	files, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+	if len(files) != 1 {
+		t.Fatalf("want 1 cache file, got %v", files)
+	}
+	payload, ok := plancache.New(plancache.Options{Dir: dir}).GetBlob(key)
+	if !ok {
+		t.Fatal("overwritten record does not pass the v9 provenance check")
+	}
+	if _, err := decodeResult(e, s.Cfg, payload); err != nil {
+		t.Fatalf("overwritten record does not decode: %v", err)
+	}
+	if strings.Contains(string(payload), `"complete"`) {
+		t.Fatalf("v9 record still carries the complete-space count: %.200s", payload)
+	}
+	if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/8"}).GetBlob(key); ok {
+		t.Fatal("the v8 builder loaded a v9-sealed record; builder provenance is not separating eras")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dtype"
 	"repro/internal/expr"
@@ -90,7 +91,32 @@ func sameCandidate(a, b *Candidate) bool {
 // to the brute-force sequential reference, across operators, worker
 // counts, pruning modes and constraint settings.
 func TestSearchEquivalence(t *testing.T) {
-	spec := device.IPUMK2().Subset(64)
+	checkSearchEquivalence(t, device.IPUMK2().Subset(64), testCM())
+}
+
+// TestSearchEquivalenceGenerations runs the equivalence proof on every
+// other shipped device generation, each priced by its own fitted cost
+// model: the sketch bounds and the subtree cuts read the spec's link,
+// sync and memory numbers, so soundness on the generation the engine
+// was tuned on does not imply it on the others. Full-size chips make
+// the brute-force reference too slow, so each runs on a subset of its
+// cores that keeps the chip's prime factors (1216 = 2^6·19 → 152,
+// 2944 = 2^7·23 → 184, 147456 = 2^14·3^2 → 144).
+func TestSearchEquivalenceGenerations(t *testing.T) {
+	subset := map[string]int{"IPU-MK1": 152, "IPU-MK3": 184, "SP2-STRESS": 144}
+	for _, spec := range device.Generations() {
+		cores, ok := subset[spec.Name]
+		if !ok {
+			continue // IPU-MK2 is TestSearchEquivalence
+		}
+		t.Run(spec.Name, func(t *testing.T) {
+			checkSearchEquivalence(t, spec.Subset(cores), costmodel.MustNewSet(spec))
+		})
+	}
+}
+
+// checkSearchEquivalence is the equivalence proof on one device.
+func checkSearchEquivalence(t *testing.T, spec *device.Spec, cm *costmodel.Set) {
 	ops := []*expr.Expr{
 		expr.MatMul("mm", 256, 256, 256, dtype.FP16),
 		expr.MatMul("mm-prime", 509, 512, 512, dtype.FP16),
@@ -123,7 +149,7 @@ func TestSearchEquivalence(t *testing.T) {
 
 	for _, e := range ops {
 		for ci, cons := range settings {
-			s := New(spec, testCM(), cons, core.DefaultConfig())
+			s := New(spec, cm, cons, core.DefaultConfig())
 			wantPareto, wantFiltered := referenceSearch(s, e)
 			if len(wantPareto) == 0 {
 				t.Fatalf("%s cons%d: reference found no plans", e.Name, ci)

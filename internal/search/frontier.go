@@ -101,11 +101,14 @@ func (pf *pruneFrontier) dominated(mem int64, lowerNs float64) bool {
 
 func (pf *pruneFrontier) add(c Candidate) {
 	pf.mu.Lock()
+	defer pf.mu.Unlock()
 	next := &Frontier{}
 	if cur := pf.snap.Load(); cur != nil {
+		if cur.Dominated(c.Est.MemPerCore, c.Est.TotalNs) {
+			return // Insert would reject it: the snapshot stays current
+		}
 		next.ents = append(make([]Candidate, 0, len(cur.ents)+1), cur.ents...)
 	}
 	next.Insert(c)
 	pf.snap.Store(next)
-	pf.mu.Unlock()
 }

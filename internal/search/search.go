@@ -23,14 +23,14 @@
 // tensors are enumerated. The frontier itself is seeded before any
 // worker starts (insert-before-search) with real candidates spanning
 // the head shards' memory/time range, so even the first-processed shard
-// prunes against something. Each surviving candidate then passes the
-// cheap full-sketch phase (exact memory, padded extents, a TotalNs
-// lower bound), and a shard's survivors are fully priced in
-// bound-ascending order (two-phase leaf pricing), so pricing approaches
-// the offline minimum; every distinct kernel task is priced by the cost
-// model exactly once per worker. A deterministic merge keeps the
-// selected Pareto set bit-identical to the sequential, unpruned
-// enumeration at every worker count.
+// prunes against something. Each surviving leaf is then finished from
+// the incremental sketch (exact memory, padded extents, a TotalNs lower
+// bound — none of the prefix's checks repeated), and a shard's
+// survivors are fully priced in bound-ascending order (two-phase leaf
+// pricing), so pricing approaches the offline minimum; every distinct
+// kernel task is priced by the cost model exactly once per worker. A
+// deterministic merge keeps the selected Pareto set bit-identical to the
+// sequential, unpruned enumeration at every worker count.
 //
 // The whole engine is context-aware (SearchOpCtx): cancellation is
 // checked at every Fop shard boundary and every few hundred leaf
@@ -46,7 +46,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"runtime"
 	"slices"
 	"sort"
@@ -87,14 +86,10 @@ func DefaultConstraints() Constraints {
 	return Constraints{ParallelismMin: 0.9, PaddingMin: 0.9, MaxFtCombos: 64}
 }
 
-// Spaces reports the three space sizes of Fig 18 plus search diagnostics.
+// Spaces reports the searched space sizes of Fig 18 plus search
+// diagnostics. The third size, the unconstrained space, is not a search
+// by-product: Searcher.CompleteSpace counts it on demand.
 type Spaces struct {
-	// Complete is the size of the unconstrained plan space (all Fop over
-	// full axis ranges × all temporal factorizations), estimated by
-	// deterministic sampling — the exact number cannot be enumerated,
-	// which is the paper's point.
-	Complete *big.Int
-
 	// Filtered is the number of individually evaluated plans that
 	// survived the rule-based constraints (valid partition, padding
 	// ratio, per-core memory). With pruning disabled (NoPrune or
@@ -245,9 +240,9 @@ type Searcher struct {
 
 	// Pool, when non-nil, is the compile-wide worker budget this
 	// searcher shares with t10.CompileModel: helper goroutines for Fop
-	// sharding (and the complete-space estimator) are spawned only when
-	// a slot is free, so the nested pools never exceed the budget. When
-	// nil, each cold search gets a private budget of Workers-1 helpers.
+	// sharding are spawned only when a slot is free, so the nested pools
+	// never exceed the budget. When nil, each cold search gets a private
+	// budget of Workers-1 helpers.
 	Pool *sema.Sem
 
 	cache *plancache.Cache
@@ -488,14 +483,12 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	}
 
 	// Worker budget: the shared compile-wide semaphore, or a private
-	// one for standalone searchers. The calling goroutine is always the
-	// first worker, so a contended budget degrades to sequential. The
-	// private budget carries one slot beyond the Workers-1 helpers so
-	// the complete-space estimator still overlaps the enumeration (on
-	// the shared budget it must not outrank anyone's search helpers).
+	// one of Workers-1 helper slots for standalone searchers. The
+	// calling goroutine is always the first worker, so a contended
+	// budget degrades to sequential.
 	pool := s.Pool
 	if pool == nil {
-		pool = sema.New(s.searchWorkers(len(fops)))
+		pool = sema.New(s.searchWorkers(len(fops)) - 1)
 	}
 
 	// Sequential pre-pass: one shared, read-only temporal-factor table
@@ -577,27 +570,10 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			work()
 		}(fromCredit)
 	}
-	// The complete-space estimator is independent of the enumeration;
-	// overlap it with the workers when a slot is left over (it must not
-	// outrank a search helper — on a Workers=2 budget it would otherwise
-	// cost the whole search its only helper), else compute it inline at
-	// the end.
-	var completeCh chan *big.Int
-	if pool.TryAcquire(1) {
-		completeCh = make(chan *big.Int, 1)
-		go func() {
-			defer pool.Release(1) // after Exit: live until released
-			pool.Enter()
-			defer pool.Exit()
-			completeCh <- s.CompleteSpace(e)
-		}()
-	}
 	work()
 	wg.Wait()
 	if cancelled.Load() || ctx.Err() != nil {
-		// abandon the partial shards; nothing reaches the cache (the
-		// complete-space estimator, if running, drains into its buffered
-		// channel and releases its slot on its own)
+		// abandon the partial shards; nothing reaches the cache
 		return nil, ctx.Err()
 	}
 
@@ -627,7 +603,10 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 	if front.Len() == 0 {
 		return nil, fmt.Errorf("search %s: every candidate exceeds core memory", e.Name)
 	}
-	r.Pareto = front.Candidates()
+	// an exact copy: the result lives in the plan cache, and must not pin
+	// the frontier's spare capacity or the stale candidates its
+	// compaction leaves there
+	r.Pareto = slices.Clone(front.Candidates())
 	r.Spaces.Optimized = len(r.Pareto)
 	if s.SampleTap != nil {
 		// The measurement hook of the calibration loop: each selected
@@ -639,11 +618,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 			task := r.Pareto[i].Plan.KernelTask()
 			s.SampleTap(task, kernel.Nanoseconds(s.CM.Spec, task))
 		}
-	}
-	if completeCh != nil {
-		r.Spaces.Complete = <-completeCh
-	} else {
-		r.Spaces.Complete = s.CompleteSpace(e)
 	}
 	r.Elapsed = time.Since(start)
 	if debug {
@@ -1250,21 +1224,22 @@ func (w *searchWorker) priceLeaves(fop []int, out *fopShard, pf *pruneFrontier) 
 	}
 }
 
-// consider evaluates one (Fop, fts) candidate: sketch first, then —
-// with pruning on — a phase-A record (leaf index, exact memory,
-// admissible bound) for the ordered phase-B pricing, already skipping
-// leaves the frontier dominates right now; with pruning off, the full
-// plan and estimate are built immediately in enumeration order (the
-// reference path). The estimate reuses the sketch's per-step prediction
-// through the task memo, so no kernel task is priced twice.
+// consider evaluates one (Fop, fts) candidate: the full assignment the
+// recursion has fixed on the sketch is finished in place (Fix already
+// ran every validity check, so only the padded extents and footprint
+// are computed), then — with pruning on — a phase-A record (leaf index,
+// exact memory, admissible bound) for the ordered phase-B pricing,
+// already skipping leaves the frontier dominates right now; with
+// pruning off, the full plan and estimate are built immediately in
+// enumeration order (the reference path). The estimate reuses the
+// sketch's per-step prediction through the task memo, so no kernel task
+// is priced twice.
 func (w *searchWorker) consider(fop []int, out *fopShard, pf *pruneFrontier) {
 	if w.checkCancel() {
 		return
 	}
 	s := w.s
-	if !w.sketch.Compute(fop, w.fts) {
-		return
-	}
+	w.sketch.Finish()
 	if !s.sketchPaddingOK(w.e, fop, w.sketch.SubLen) {
 		return
 	}
