@@ -51,15 +51,19 @@ bench-e2e:
 		bash e2ebench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
 	done
 
-# Short cold-zoo pass: every request's plans are checked against the
-# sequential reference and the numeric oracle executes Pareto plans, so
-# this guards the cold search end to end. Fails unless the result line
+# Short passes at seed 1, each checking every output against the
+# sequential reference and running the numeric oracle on Pareto plans:
+# cold-zoo guards the cold search end to end, restart-disk a fresh
+# compiler per request over CacheDir+CacheSalt, and churn-serve the plan
+# cache t10serve builds for itself. Fails unless every result line
 # reports "correct":true.
 e2e-smoke:
-	@out="$$(bash e2ebench/run.sh --workload cold-zoo --seed 1 --seconds 2 --trace 0)"; \
-	status=$$?; echo "$$out"; \
-	[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' \
-		|| { echo "cold-zoo smoke: outputs not correct"; exit 1; }
+	@for w in cold-zoo restart-disk churn-serve; do \
+		out="$$(bash e2ebench/run.sh --workload $$w --seed 1 --seconds 2 --trace 0)"; \
+		status=$$?; echo "$$out"; \
+		[ $$status -eq 0 ] && echo "$$out" | tail -n 1 | grep -q '"correct":true' \
+			|| { echo "$$w smoke: outputs not correct"; exit 1; }; \
+	done
 
 # Total-statement coverage, gated against COVER_MIN so the trajectory
 # never regresses past the seed.
@@ -87,9 +91,8 @@ chaos:
 		-count=1 -race ./internal/plancache ./cmd/t10serve
 
 # Public-API surface check: compile and run the build-tag-gated t10
-# surface test, which pins every exported symbol — including the
-# deprecated v1 shims — so accidental API breakage fails CI before it
-# reaches a downstream user. (go vet ./... runs in the lint target; CI
+# surface test, which pins every exported symbol and Options field, so
+# accidental API breakage fails CI before it reaches a downstream user. (go vet ./... runs in the lint target; CI
 # runs both, vetting once.)
 apicheck:
 	$(GO) test -tags apicheck -run TestAPICheck -count=1 ./t10

@@ -120,15 +120,12 @@ func main() {
 	limiter := t10.NewDetachLimit(dlim)
 	pool := sema.NewShared(budget, *queue)
 	opts := t10.DefaultOptions()
-	opts.CacheDir = *cacheDir
-	opts.CacheSalt = []byte(*cacheSalt)
 	opts.Workers = budget
 	opts.SharedPool = pool
 	opts.DetachLimit = limiter
 	var remote *plancache.Remote
 	if urls := splitPeers(*peers); len(urls) > 0 {
 		remote = plancache.NewRemote(plancache.RemoteOptions{Peers: urls})
-		opts.Remote = remote
 	}
 	var copts []t10.CompilerOption
 	if *fusion {
@@ -146,7 +143,9 @@ func main() {
 		if ring != nil {
 			cc = append(cc[:len(cc):len(cc)], t10.WithCalibrationVersion(ring, version))
 		}
-		return t10.New(device.IPUMK2(), opts, cc...)
+		o := opts
+		o.Cache = newPlanCache(*cacheDir, *cacheSalt, remote)
+		return t10.New(device.IPUMK2(), o, cc...)
 	}
 	c, err := buildCompiler(0)
 	if err != nil {
@@ -190,6 +189,16 @@ func main() {
 		}
 		remote.Close() // flush in-flight best-effort publishes (nil-safe)
 	}
+}
+
+// newPlanCache builds the plan cache of one compiler generation: a
+// fresh memory tier (so a refit starts empty) over the shared disk
+// directory and fleet peer tier. The remote is attached here, before the
+// cache's first use.
+func newPlanCache(dir, salt string, remote *plancache.Remote) *plancache.Cache {
+	c := plancache.New(plancache.Options{Dir: dir, Salt: []byte(salt)})
+	c.SetRemote(remote)
+	return c
 }
 
 // splitPeers parses the -peers flag: comma-separated base URLs, blanks

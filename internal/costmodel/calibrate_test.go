@@ -350,7 +350,7 @@ func TestCalibrateFallbackKeepsShippedTheta(t *testing.T) {
 // would actually measure, on shapes drawn from the same distribution
 // the ring sampled.
 func TestCalibratedFloorIsAdmissible(t *testing.T) {
-	for _, spec := range []*device.Spec{device.IPUMK2(), device.IPUMK2().Subset(64), device.VIPU(2)} {
+	for _, spec := range floorSpecs() {
 		set := MustNewSet(spec)
 		// seed broadly: several independent profiling passes per kind, so
 		// the observed max over-estimate covers the shape distribution

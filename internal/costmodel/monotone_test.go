@@ -25,6 +25,14 @@ func dominate(rng *rand.Rand, t kernel.Task) kernel.Task {
 	return d
 }
 
+// floorSpecs are the devices the floor-admissibility tests range over:
+// the MK2 subset and the virtual IPU plus every device generation
+// (MK2 among them), since the search's subtree cuts lean on these
+// floors on whichever chip it compiles for.
+func floorSpecs() []*device.Spec {
+	return append([]*device.Spec{device.IPUMK2().Subset(64), device.VIPU(2)}, device.Generations()...)
+}
+
 // TestMonotoneLBIsAdmissible is the capability contract over the fitted
 // model family: for every model declaring MonotoneLB, Predict evaluated
 // at a task never exceeds Predict at any task dominating it — which is
@@ -33,7 +41,7 @@ func dominate(rng *rand.Rand, t kernel.Task) kernel.Task {
 // Models that cannot promise this (convolution's window feature, or a
 // fit with negative coefficients) must not declare it.
 func TestMonotoneLBIsAdmissible(t *testing.T) {
-	for _, spec := range []*device.Spec{device.IPUMK2(), device.IPUMK2().Subset(64), device.VIPU(2)} {
+	for _, spec := range floorSpecs() {
 		set := MustNewSet(spec)
 		declared := 0
 		for _, kind := range set.Kinds() {

@@ -119,7 +119,7 @@ func (h *Harness) Fig19() (*Table, error) {
 	for _, cons := range settings {
 		opts := t10.DefaultOptions()
 		opts.Constraints = cons
-		opts.SharedCache = h.planCache // distinct constraints → distinct keys
+		opts.Cache = h.planCache // distinct constraints → distinct keys
 		c, err := t10.New(h.Spec, opts)
 		if err != nil {
 			return nil, err

@@ -56,7 +56,7 @@ func (h *Harness) t10For(spec *device.Spec) (*t10.Compiler, error) {
 		return c, nil
 	}
 	opts := t10.DefaultOptions()
-	opts.SharedCache = h.planCache
+	opts.Cache = h.planCache
 	c, err := t10.New(spec, opts)
 	if err != nil {
 		return nil, err
@@ -78,7 +78,7 @@ func (h *Harness) t10Exact(spec *device.Spec) (*t10.Compiler, error) {
 		return c, nil
 	}
 	opts := t10.DefaultOptions()
-	opts.SharedCache = h.planCache
+	opts.Cache = h.planCache
 	opts.ExactSpaceAccounting = true
 	c, err := t10.New(spec, opts)
 	if err != nil {

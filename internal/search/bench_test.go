@@ -37,11 +37,10 @@ func benchFusedOp() *expr.Expr {
 }
 
 // BenchmarkColdSearch measures one full cold enumeration per iteration
-// (searchOp bypasses every cache layer) in four configurations:
+// (searchOp bypasses every cache layer) in each of these configurations:
 //
 //	seq       — Workers=1, pruning off: the pre-optimization reference path
 //	par       — Workers=GOMAXPROCS, pruning off: sharding alone
-//	pruned    — leaf-level bound pruning only (the PR2 engine shape)
 //	subtree   — subtree cuts + best-first shard order: the default engine
 //	telemetry — the default engine under an attached Collector (no debug
 //	            trace), i.e. the production-safe telemetry level: the
@@ -66,7 +65,6 @@ func BenchmarkColdSearch(b *testing.B) {
 		name       string
 		workers    int
 		noPrune    bool
-		noSubtree  bool
 		telemetry  bool
 		fused      bool
 		calibrated bool
@@ -74,7 +72,6 @@ func BenchmarkColdSearch(b *testing.B) {
 	}{
 		{name: "seq", workers: 1, noPrune: true},
 		{name: "par", noPrune: true},
-		{name: "pruned", noSubtree: true},
 		{name: "subtree"},
 		{name: "telemetry", telemetry: true},
 		{name: "fused", fused: true},
@@ -92,7 +89,7 @@ func BenchmarkColdSearch(b *testing.B) {
 				cm = calibratedCM(b, spec)
 			}
 			s := New(spec, cm, DefaultConstraints(), core.DefaultConfig())
-			s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
+			s.Workers, s.NoPrune = v.workers, v.noPrune
 			e := benchColdOp()
 			if v.fused {
 				e = benchFusedOp()

@@ -68,9 +68,9 @@ const resultFormat = 9
 
 // fingerprint derives the content-addressed cache key for one operator
 // search. It covers everything the search outcome depends on: the
-// device, the constraints, the plan-construction config, whether all
-// candidates are retained, whether a custom cost function overrides the
-// fitted model for this operator — including its declared MonotoneLB
+// device, the constraints, the plan-construction config, the pruning
+// mode, whether a custom cost function overrides the fitted model for
+// this operator — including its declared MonotoneLB
 // capability, since the compute floor changes the pruning accounting a
 // record carries (keyed by name — re-registering a different function
 // under the same name is the caller's hazard; the t10 layer closes it
@@ -94,12 +94,10 @@ func (s *Searcher) fingerprint(e *expr.Expr) plancache.Key {
 		fmt.Sprintf("%#v", *s.Spec),
 		fmt.Sprintf("cons|par=%g|pad=%g|ft=%d", s.Cons.ParallelismMin, s.Cons.PaddingMin, s.Cons.MaxFtCombos),
 		fmt.Sprintf("cfg|shiftbuf=%d", s.Cfg.ShiftBufBytes),
-		fmt.Sprintf("keepall=%t", s.KeepAll),
 		// the pruning modes select identical plans but report different
-		// Spaces accounting (exact / leaf-only / subtree-cut), so their
-		// results must not answer each other
+		// Spaces accounting (exact / subtree-cut), so their results must
+		// not answer each other
 		fmt.Sprintf("noprune=%t", s.NoPrune),
-		fmt.Sprintf("nosubtree=%t", s.NoSubtree),
 		"custom="+custom,
 		// fused and unfused plans must never collide, even for ops the
 		// rule set happened to leave unfused — the rule set is part of
@@ -128,7 +126,6 @@ type resultRecord struct {
 	Format    int               `json:"format"`
 	Op        string            `json:"op"`
 	Pareto    []candidateRecord `json:"pareto"`
-	All       []candidateRecord `json:"all,omitempty"`
 	Filtered  int               `json:"filtered"`
 	Optimized int               `json:"optimized"`
 	Priced    int               `json:"priced,omitempty"`
@@ -169,12 +166,6 @@ func encodeResult(r *Result) ([]byte, error) {
 	for i := range r.Pareto {
 		rec.Pareto[i] = toRecord(&r.Pareto[i])
 	}
-	if len(r.All) > 0 {
-		rec.All = make([]candidateRecord, len(r.All))
-		for i := range r.All {
-			rec.All[i] = toRecord(&r.All[i])
-		}
-	}
 	return json.Marshal(rec)
 }
 
@@ -190,26 +181,14 @@ func decodeResult(e *expr.Expr, cfg core.Config, blob []byte) (*Result, error) {
 	if rec.Format != resultFormat {
 		return nil, fmt.Errorf("plan record format %d, want %d", rec.Format, resultFormat)
 	}
-	rebuild := func(crs []candidateRecord) ([]Candidate, error) {
-		out := make([]Candidate, len(crs))
-		for i := range crs {
-			p, err := core.NewPlan(e, crs[i].Fop, crs[i].Fts, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("cached plan %d of %s: %w", i, e.Name, err)
-			}
-			out[i] = Candidate{Plan: p, Est: crs[i].Est}
-		}
-		return out, nil
-	}
 	r := &Result{Op: rec.Op, Elapsed: time.Duration(rec.ElapsedNs)}
-	var err error
-	if r.Pareto, err = rebuild(rec.Pareto); err != nil {
-		return nil, err
-	}
-	if len(rec.All) > 0 {
-		if r.All, err = rebuild(rec.All); err != nil {
-			return nil, err
+	r.Pareto = make([]Candidate, len(rec.Pareto))
+	for i, cr := range rec.Pareto {
+		p, err := core.NewPlan(e, cr.Fop, cr.Fts, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("cached plan %d of %s: %w", i, e.Name, err)
 		}
+		r.Pareto[i] = Candidate{Plan: p, Est: cr.Est}
 	}
 	r.Spaces.Filtered = rec.Filtered
 	r.Spaces.Optimized = rec.Optimized

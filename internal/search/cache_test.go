@@ -76,10 +76,10 @@ func TestFingerprintSeparatesConfigurations(t *testing.T) {
 		t.Error("different devices share a fingerprint")
 	}
 
-	keep := newSearcher()
-	keep.KeepAll = true
-	if base.fingerprint(e) == keep.fingerprint(e) {
-		t.Error("KeepAll on/off share a fingerprint")
+	exact := newSearcher()
+	exact.NoPrune = true
+	if base.fingerprint(e) == exact.fingerprint(e) {
+		t.Error("pruned and exact-accounting searches share a fingerprint")
 	}
 
 	custom := newSearcher()
@@ -277,32 +277,6 @@ func TestStaleV5BuilderRecordOverwrittenUnderV6(t *testing.T) {
 	}
 	if _, ok := plancache.New(plancache.Options{Dir: dir, Builder: "t10-builder/5"}).GetBlob(key); ok {
 		t.Fatal("the v5 builder loaded a v6-sealed record; builder provenance is not separating eras")
-	}
-}
-
-func TestKeepAllSurvivesDiskRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	e := expr.MatMul("mm", 256, 512, 512, dtype.FP16)
-
-	s1 := newSearcher()
-	s1.KeepAll = true
-	s1.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	cold, err := s1.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cold.All) == 0 {
-		t.Fatal("KeepAll search retained nothing")
-	}
-	s2 := newSearcher()
-	s2.KeepAll = true
-	s2.SetCache(plancache.New(plancache.Options{Dir: dir}))
-	warm, err := s2.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(warm.All) != len(cold.All) {
-		t.Fatalf("All lost in roundtrip: %d vs %d", len(warm.All), len(cold.All))
 	}
 }
 

@@ -49,15 +49,13 @@ func TestSearchEquivalenceCalibrated(t *testing.T) {
 		expr.GatherOp("emb", 128, 1000, 64, dtype.FP16),
 	}
 	type variant struct {
-		workers   int
-		noPrune   bool
-		noSubtree bool
+		workers int
+		noPrune bool
 	}
 	variants := []variant{
-		{1, false, false}, // default engine, sequential
-		{4, false, false}, // default engine, parallel
-		{2, false, true},  // leaf pruning only
-		{8, true, false},  // no pruning: exact accounting
+		{1, false}, // default engine, sequential
+		{4, false}, // default engine, parallel
+		{8, true},  // no pruning: exact accounting
 	}
 	for _, e := range ops {
 		s := New(spec, set, DefaultConstraints(), core.DefaultConfig())
@@ -66,8 +64,8 @@ func TestSearchEquivalenceCalibrated(t *testing.T) {
 			t.Fatalf("%s: reference found no plans", e.Name)
 		}
 		for _, v := range variants {
-			name := fmt.Sprintf("%s/w%d/noprune=%t/nosubtree=%t", e.Name, v.workers, v.noPrune, v.noSubtree)
-			s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
+			name := fmt.Sprintf("%s/w%d/noprune=%t", e.Name, v.workers, v.noPrune)
+			s.Workers, s.NoPrune = v.workers, v.noPrune
 			r, err := s.searchOp(context.Background(), e)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)

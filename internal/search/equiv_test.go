@@ -132,19 +132,17 @@ func checkSearchEquivalence(t *testing.T, spec *device.Spec, cm *costmodel.Set) 
 	type variant struct {
 		workers   int
 		noPrune   bool
-		noSubtree bool
 		telemetry bool // run under an attached Collector with debug tracing
 	}
 	variants := []variant{
-		{1, false, false, false}, // the default engine, sequential
-		{4, false, false, false}, // the default engine, parallel
-		{2, false, true, false},  // leaf-level pruning only (the PR2 shape)
-		{8, true, false, false},  // no pruning: exact space accounting
+		{1, false, false}, // the default engine, sequential
+		{4, false, false}, // the default engine, parallel
+		{8, true, false},  // no pruning: exact space accounting
 		// telemetry collection (with the debug trace, its most invasive
 		// setting) must never change plan selection — same engine shapes,
 		// observed
-		{1, false, false, true},
-		{4, false, false, true},
+		{1, false, true},
+		{4, false, true},
 	}
 
 	for _, e := range ops {
@@ -156,9 +154,9 @@ func checkSearchEquivalence(t *testing.T, spec *device.Spec, cm *costmodel.Set) 
 			}
 			var wantTrunc *int
 			for _, v := range variants {
-				name := fmt.Sprintf("%s/cons%d/w%d/noprune=%t/nosubtree=%t/tel=%t",
-					e.Name, ci, v.workers, v.noPrune, v.noSubtree, v.telemetry)
-				s.Workers, s.NoPrune, s.NoSubtree = v.workers, v.noPrune, v.noSubtree
+				name := fmt.Sprintf("%s/cons%d/w%d/noprune=%t/tel=%t",
+					e.Name, ci, v.workers, v.noPrune, v.telemetry)
+				s.Workers, s.NoPrune = v.workers, v.noPrune
 				ctx := context.Background()
 				var col *Collector
 				if v.telemetry {
@@ -175,7 +173,7 @@ func checkSearchEquivalence(t *testing.T, spec *device.Spec, cm *costmodel.Set) 
 						t.Errorf("%s: malformed debug trace (%d events)", name, len(evs))
 					}
 				}
-				if v.noPrune || v.noSubtree {
+				if v.noPrune {
 					// every leaf is individually evaluated: exact count
 					if r.Spaces.Filtered != wantFiltered {
 						t.Errorf("%s: filtered = %d, want %d", name, r.Spaces.Filtered, wantFiltered)

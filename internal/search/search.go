@@ -92,11 +92,11 @@ func DefaultConstraints() Constraints {
 type Spaces struct {
 	// Filtered is the number of individually evaluated plans that
 	// survived the rule-based constraints (valid partition, padding
-	// ratio, per-core memory). With pruning disabled (NoPrune or
-	// KeepAll) it is the exact, deterministic rule-based count of Fig 18;
-	// with subtree pruning on, candidates inside cut subtrees are never
-	// evaluated, so Filtered undercounts by the valid fraction of
-	// CutLeaves (it is exact about everything that was examined).
+	// ratio, per-core memory). With pruning disabled (NoPrune) it is
+	// the exact, deterministic rule-based count of Fig 18; with pruning
+	// on, candidates inside cut subtrees are never evaluated, so
+	// Filtered undercounts by the valid fraction of CutLeaves (it is
+	// exact about everything that was examined).
 	Filtered int
 
 	// Optimized is the number of Pareto-optimal plans kept.
@@ -154,7 +154,6 @@ type Candidate struct {
 type Result struct {
 	Op      string
 	Pareto  []Candidate // sorted by MemPerCore ascending (time descending)
-	All     []Candidate // every priced candidate, kept when KeepAll is set
 	Spaces  Spaces
 	Elapsed time.Duration
 }
@@ -188,11 +187,10 @@ func (r *Result) FastestWithin(memBudget int64) *Candidate {
 // layer, across processes). Concurrent searches for the same key are
 // deduplicated: one flight runs, everyone else waits for its result.
 type Searcher struct {
-	Spec    *device.Spec
-	CM      *costmodel.Set
-	Cons    Constraints
-	Cfg     core.Config
-	KeepAll bool
+	Spec *device.Spec
+	CM   *costmodel.Set
+	Cons Constraints
+	Cfg  core.Config
 
 	// Workers bounds the Fop shards of one cold search; 0 means
 	// runtime.GOMAXPROCS(0). Plan selection is bit-identical at every
@@ -203,13 +201,8 @@ type Searcher struct {
 	// NoPrune disables bound-based pruning (leaf and subtree) and the
 	// best-first shard order, pricing every filtered candidate in
 	// enumeration order — the reference path, on which Spaces.Filtered
-	// is the exact rule-based count (KeepAll implies it).
+	// is the exact rule-based count.
 	NoPrune bool
-
-	// NoSubtree keeps leaf-level bound pruning but disables the
-	// partial-assignment subtree cuts — the engine shape of the
-	// `pruned` benchmark variant, kept for A/B comparison.
-	NoSubtree bool
 
 	// FusionRules names the graph-fusion rule set active above this
 	// searcher (graph.RuleSet.String(); empty or "off" when fusion is
@@ -501,7 +494,7 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 
 	pred := s.CM.Resolve(e.Name, e.Kind)
 	var pf *pruneFrontier
-	if !s.KeepAll && !s.NoPrune {
+	if !s.NoPrune {
 		pf = &pruneFrontier{}
 	}
 	// Best-first shard order: the shards most likely to hold fast plans
@@ -595,9 +588,6 @@ func (s *Searcher) searchOp(ctx context.Context, e *expr.Expr) (*Result, error) 
 		}
 		for j := range sh.cands {
 			front.Insert(sh.cands[j])
-		}
-		if s.KeepAll {
-			r.All = append(r.All, sh.cands...)
 		}
 	}
 	if front.Len() == 0 {
@@ -1106,9 +1096,8 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 		perStepFloor = floor.Predict(w.sketch.ComputeFloorTask(w.axisCap))
 	}
 
-	subtree := !s.NoSubtree
 	coreMem := int64(s.Spec.CoreMemBytes)
-	if subtree && leaves > 1 {
+	if leaves > 1 {
 		// Fop-level bound: the empty prefix already prices the minimum
 		// footprint of every tensor, the all-reduce/sync floor and (with
 		// a monotone predictor) one compute step at the minimal task.
@@ -1141,7 +1130,7 @@ func (w *searchWorker) processFop(fop []int, out *fopShard, pf *pruneFrontier) {
 			// Bound the subtree only when it holds more than one leaf —
 			// at the innermost tensors the full sketch is both cheaper
 			// and tighter.
-			if subtree && w.leavesFrom[ti] > 1 {
+			if w.leavesFrom[ti] > 1 {
 				if !w.sketch.PartialPaddingOK(s.Cons.PaddingMin) {
 					w.sketch.Unfix()
 					continue // every leaf fails the padding filter

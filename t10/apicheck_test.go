@@ -2,10 +2,9 @@
 
 // Package-surface check, gated behind the apicheck build tag and run by
 // `make apicheck` in CI: it references every public symbol of the t10
-// package — the v2 entry points, the per-request and construction
-// options, AND the deprecated v1 shims — so an accidental signature
-// change or symbol removal breaks this file's compilation before it
-// breaks a downstream user. The single test does one tiny end-to-end
+// package — the entry points and the per-request and construction
+// options — so an accidental signature change or symbol removal breaks
+// this file's compilation before it breaks a downstream user. The single test does one tiny end-to-end
 // pass; everything else only needs to compile.
 package t10_test
 
@@ -14,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/costmodel"
 	"repro/internal/device"
 	"repro/internal/dtype"
@@ -79,13 +79,6 @@ var (
 	_ func(*t10.DetachLimit) int64       = (*t10.DetachLimit).Active
 	_ func(*t10.DetachLimit) int64       = (*t10.DetachLimit).Rejected
 
-	// deprecated v1 shims — kept compiling until a major break is declared
-	_ func(*t10.Compiler, *graph.Model) (*t10.Executable, error)                  = (*t10.Compiler).CompileModel
-	_ func(*t10.Compiler, context.Context, *graph.Model) (*t10.Executable, error) = (*t10.Compiler).CompileModelCtx
-	_ func(*t10.Compiler, *expr.Expr) (*search.Result, error)                     = (*t10.Compiler).SearchOp
-	_ func(*t10.Compiler, context.Context, *expr.Expr) (*search.Result, error)    = (*t10.Compiler).SearchOpCtx
-	_ func(*t10.Compiler, string, costmodel.CostFunc)                             = (*t10.Compiler).RegisterCostFunc
-
 	// observability surface (Executable.Simulate is exercised in the
 	// runtime check below, where its concrete return type is in scope)
 	_ func(*t10.Compiler) *plancache.Cache = (*t10.Compiler).PlanCache
@@ -104,18 +97,15 @@ var (
 var (
 	_ = t10.Options{
 		Constraints:          search.Constraints{},
+		PlanConfig:           core.Config{},
 		InterOp:              true,
-		KeepAllCandidates:    false,
 		Workers:              1,
 		ExactSpaceAccounting: false,
 		CacheDir:             "",
-		CacheEntries:         0,
-		SharedCache:          (*plancache.Cache)(nil),
+		CacheSalt:            nil,
+		Cache:                (*plancache.Cache)(nil),
 		SharedPool:           (*sema.Sem)(nil),
 		DetachLimit:          (*t10.DetachLimit)(nil),
-		CacheSalt:            nil,
-		Peers:                []string(nil),
-		Remote:               (*plancache.Remote)(nil),
 	}
 	_ = t10.CostEstimate{Ops: 1, CachedOps: 1, DiskOps: 0, ColdOps: 0, ColdFops: 0}
 	_ = t10.WeightFopUnit
@@ -172,9 +162,6 @@ func TestAPICheck(t *testing.T) {
 	}
 	e := expr.MatMul("mm", 64, 64, 64, dtype.FP16)
 	if _, err := c.Search(context.Background(), e, t10.WithAdmissionWeight(1), t10.WithDetachOnCancel()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SearchOp(e); err != nil {
 		t.Fatal(err)
 	}
 	est, err := c.EstimateOpCost(e)

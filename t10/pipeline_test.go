@@ -1,10 +1,13 @@
 package t10
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/dtype"
+	"repro/internal/expr"
 	"repro/internal/models"
 	"repro/internal/plancache"
 )
@@ -45,15 +48,15 @@ func TestParallelCompilationMatchesSequential(t *testing.T) {
 	}
 
 	m := models.BERT(8)
-	seqExe, err := seq.CompileModel(m)
+	seqExe, err := seq.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldExe, err := par.CompileModel(models.BERT(8))
+	coldExe, err := par.Compile(context.Background(), models.BERT(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmExe, err := par.CompileModel(models.BERT(8)) // fully cached
+	warmExe, err := par.Compile(context.Background(), models.BERT(8)) // fully cached
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,12 +82,12 @@ func TestRepeatedCompileHitsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.CompileModel(models.BERT(8)); err != nil {
+	if _, err := c.Compile(context.Background(), models.BERT(8)); err != nil {
 		t.Fatal(err)
 	}
 	before := c.CacheStats()
 	m := models.BERT(8)
-	if _, err := c.CompileModel(m); err != nil {
+	if _, err := c.Compile(context.Background(), m); err != nil {
 		t.Fatal(err)
 	}
 	after := c.CacheStats()
@@ -102,13 +105,13 @@ func TestRepeatedCompileHitsCache(t *testing.T) {
 func TestSharedCacheAcrossCompilers(t *testing.T) {
 	shared := plancache.New(plancache.Options{})
 	opts := DefaultOptions()
-	opts.SharedCache = shared
+	opts.Cache = shared
 
 	c1, err := New(device.IPUMK2(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c1.CompileModel(models.BERT(1)); err != nil {
+	if _, err := c1.Compile(context.Background(), models.BERT(1)); err != nil {
 		t.Fatal(err)
 	}
 	misses := shared.Stats().Misses
@@ -117,7 +120,7 @@ func TestSharedCacheAcrossCompilers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c2.CompileModel(models.BERT(1)); err != nil {
+	if _, err := c2.Compile(context.Background(), models.BERT(1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := shared.Stats().Misses; got != misses {
@@ -137,7 +140,7 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := c1.CompileModel(models.BERT(1))
+	e1, err := c1.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +152,7 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c2.CompileModel(models.BERT(1))
+	e2, err := c2.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +162,91 @@ func TestDiskCacheAcrossCompilerInstances(t *testing.T) {
 	}
 	if planFingerprint(e1) != planFingerprint(e2) {
 		t.Error("disk-cached compile selected different plans")
+	}
+}
+
+// TestNewCacheOptions pins the one way to configure a compiler's plan
+// cache: Options.Cache excludes the CacheDir/CacheSalt shorthand, and
+// each of the two on its own serves a second compiler from the disk
+// layer the first one wrote, under the configured salt.
+func TestNewCacheOptions(t *testing.T) {
+	spec := device.IPUMK2().Subset(64)
+	e := expr.MatMul("mm", 256, 256, 512, dtype.FP16)
+	for _, tc := range []struct {
+		name             string
+		cache, dir, salt bool
+	}{
+		{"Cache+CacheDir", true, true, false},
+		{"Cache+CacheSalt", true, false, true},
+		{"Cache+CacheDir+CacheSalt", true, true, true},
+		{"Cache", true, false, false},
+		{"CacheDir+CacheSalt", false, true, true},
+	} {
+		wantErr := tc.cache && (tc.dir || tc.salt)
+		opts := func(dir, salt string) Options {
+			o := DefaultOptions()
+			if tc.cache {
+				o.Cache = plancache.New(plancache.Options{Dir: dir, Salt: []byte(salt)})
+			}
+			if tc.dir {
+				o.CacheDir = dir
+			}
+			if tc.salt {
+				o.CacheSalt = []byte(salt)
+			}
+			return o
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c1, err := New(spec, opts(dir, "s1"))
+			if wantErr {
+				if err == nil {
+					t.Fatal("New accepted Cache together with CacheDir/CacheSalt")
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := c1.Search(context.Background(), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c1.CacheStats(); st.DiskWrites != 1 {
+				t.Fatalf("first compiler wrote %d disk records, want 1", st.DiskWrites)
+			}
+			// a second compiler over the same directory and salt (with a
+			// fresh memory tier) answers from disk with identical plans
+			c2, err := New(spec, opts(dir, "s1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := c2.Search(context.Background(), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st := c2.CacheStats(); st.DiskHits != 1 {
+				t.Fatalf("second compiler: %d disk hits, want 1", st.DiskHits)
+			}
+			if len(warm.Pareto) != len(cold.Pareto) {
+				t.Fatalf("disk hit: %d Pareto plans, want %d", len(warm.Pareto), len(cold.Pareto))
+			}
+			for i := range cold.Pareto {
+				if warm.Pareto[i].Plan.String() != cold.Pareto[i].Plan.String() || warm.Pareto[i].Est != cold.Pareto[i].Est {
+					t.Fatalf("disk hit: Pareto plan %d differs", i)
+				}
+			}
+			// the salt reached the cache: another salt rejects the record
+			c3, err := New(spec, opts(dir, "s2"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c3.Search(context.Background(), e); err != nil {
+				t.Fatal(err)
+			}
+			if st := c3.CacheStats(); st.DiskHits != 0 || st.DiskRejects != 1 {
+				t.Fatalf("other salt: %d disk hits, %d rejects; want 0 and 1", st.DiskHits, st.DiskRejects)
+			}
+		})
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // TestCompileWorkerBudget instruments the compile-wide semaphore: no
-// matter how CompileModel's per-operator pool and the cold searches'
-// Fop shards (and complete-space estimators) nest, the number of live
+// matter how Compile's per-operator pool and the cold searches' Fop
+// shards nest, the number of live
 // worker goroutines — the calling goroutine included — must never
 // exceed Opts.Workers.
 func TestCompileWorkerBudget(t *testing.T) {
@@ -28,7 +28,7 @@ func TestCompileWorkerBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := models.BERT(1)
-		if _, err := c.CompileModel(m); err != nil {
+		if _, err := c.Compile(context.Background(), m); err != nil {
 			t.Fatal(err)
 		}
 		if peak := c.pool.Peak(); peak > workers {
@@ -55,11 +55,11 @@ func TestWorkerBudgetSharedAcrossNestedPools(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.SearchOp(expr.MatMul("mm", 512, 512, 1024, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 512, 512, 1024, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
-	// the caller plus helpers plus the complete-space estimator never
-	// exceed Workers live goroutines (helpers hold the Workers-1 slots)
+	// the caller plus helpers never exceed Workers live goroutines
+	// (helpers hold the Workers-1 slots)
 	if peak := c.pool.Peak(); peak > 4 {
 		t.Fatalf("peak worker goroutines %d exceeds the Workers=4 budget", peak)
 	}
@@ -80,7 +80,7 @@ func TestSharedPoolBudgetAcrossCompilers(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Workers = budget
 		opts.SharedPool = pool
-		opts.SharedCache = cache
+		opts.Cache = cache
 		c, err := New(device.IPUMK2(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -91,14 +91,14 @@ func TestSharedPoolBudgetAcrossCompilers(t *testing.T) {
 
 	var wg sync.WaitGroup
 	for i, job := range []func() error{
-		func() error { _, err := c1.CompileModel(models.BERT(1)); return err },
-		func() error { _, err := c2.CompileModel(models.BERT(1)); return err },
+		func() error { _, err := c1.Compile(context.Background(), models.BERT(1)); return err },
+		func() error { _, err := c2.Compile(context.Background(), models.BERT(1)); return err },
 		func() error {
-			_, err := c1.SearchOpCtx(context.Background(), expr.MatMul("mm", 512, 512, 512, dtype.FP16))
+			_, err := c1.Search(context.Background(), expr.MatMul("mm", 512, 512, 512, dtype.FP16))
 			return err
 		},
 		func() error {
-			_, err := c2.SearchOpCtx(context.Background(), expr.MatMul("mm", 256, 512, 1024, dtype.FP16))
+			_, err := c2.Search(context.Background(), expr.MatMul("mm", 256, 512, 1024, dtype.FP16))
 			return err
 		},
 	} {
@@ -140,17 +140,17 @@ func TestSharedPoolSheds(t *testing.T) {
 	if !pool.TryAcquire(1) {
 		t.Fatal("could not occupy the only slot")
 	}
-	if _, err := c.SearchOpCtx(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); !errors.Is(err, sema.ErrSaturated) {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); !errors.Is(err, sema.ErrSaturated) {
 		t.Fatalf("saturated compile: %v, want sema.ErrSaturated", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.CompileModelCtx(ctx, models.BERT(1)); !errors.Is(err, context.Canceled) {
+	if _, err := c.Compile(ctx, models.BERT(1)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context compile: %v, want context.Canceled", err)
 	}
 	pool.Release(1)
 	// with the slot free the same compile goes through
-	if _, err := c.SearchOpCtx(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("mm", 64, 64, 64, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
 	if inUse := pool.InUse(); inUse != 0 {

@@ -28,13 +28,17 @@
 // per-stage wall times, cache routes, admission weight, and (behind
 // WithTelemetry/WithDebug) search-space counters and the search trace.
 // Compile and Search are thin wrappers over them that discard the
-// telemetry; collection never changes plan selection. The v1 entry
-// points (CompileModel, CompileModelCtx, SearchOp, SearchOpCtx,
-// RegisterCostFunc) remain as deprecated one-line shims.
+// telemetry; collection never changes plan selection.
+//
+// The plan cache is configured in one place: either Options.Cache (a
+// caller-built plancache.Cache, shared across compilers or carrying a
+// fleet peer tier) or the CacheDir/CacheSalt shorthand for a private
+// one — never both.
 package t10
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -70,12 +74,8 @@ type Options struct {
 	// idle plan (the ablation baseline).
 	InterOp bool
 
-	// KeepAllCandidates retains every priced plan per operator (the
-	// scatter data of Fig 17); costs memory.
-	KeepAllCandidates bool
-
 	// Workers is the compile-wide worker budget: one weighted semaphore
-	// of Workers-1 helper slots is shared by CompileModel's per-operator
+	// of Workers-1 helper slots is shared by Compile's per-operator
 	// pool and every cold search's Fop shards, so the total number of
 	// live goroutines never exceeds Workers no matter how the pools
 	// nest. 0 means runtime.GOMAXPROCS(0). Workers=1 is the sequential
@@ -91,23 +91,30 @@ type Options struct {
 	// CacheDir enables the on-disk plan cache layer: searches missing
 	// in memory are answered from (and written to) content-addressed
 	// records under this directory, so repeated t10c/t10serve
-	// invocations skip the Pareto search entirely.
+	// invocations skip the Pareto search entirely. Shorthand for a
+	// private Cache; New rejects it alongside Cache.
 	CacheDir string
 
-	// CacheEntries caps the in-memory plan cache; 0 means the
-	// plancache default (4096 entries).
-	CacheEntries int
+	// CacheSalt is the deployment secret that HMACs persisted plan
+	// records of the private CacheDir cache: a disk cache written under
+	// one salt loads as all-misses under any other, and tampered records
+	// are rejected rather than trusted. See plancache.Options.Salt. New
+	// rejects it alongside Cache, which carries its own salt.
+	CacheSalt []byte
 
-	// SharedCache, when non-nil, overrides CacheDir/CacheEntries and
-	// makes this compiler share a plan cache with others. Cache keys
-	// cover the device, constraints and plan config, so sharing is
-	// always safe.
-	SharedCache *plancache.Cache
+	// Cache, when non-nil, is the plan cache this compiler uses, built by
+	// the caller with plancache.New (its own directory, salt and size)
+	// and, for a fleet, a peer tier attached with SetRemote before first
+	// use. Cache keys cover the device, constraints and plan config, so
+	// one cache is always safe to share across compilers. Leave CacheDir
+	// and CacheSalt empty when setting it. With neither Cache nor
+	// CacheDir, the compiler keeps a private in-memory cache.
+	Cache *plancache.Cache
 
 	// SharedPool, when non-nil, replaces the compiler's private worker
 	// budget with a server-wide one (built with sema.NewShared): every
-	// CompileModelCtx/SearchOpCtx call first acquires one slot for its
-	// calling goroutine — waiting in the pool's bounded admission queue,
+	// Compile/Search call first acquires one slot for its calling
+	// goroutine — waiting in the pool's bounded admission queue,
 	// or failing fast with sema.ErrSaturated — and helper workers keep
 	// drawing slots opportunistically, so the total number of live
 	// worker goroutines across every compiler and request sharing the
@@ -120,28 +127,6 @@ type Options struct {
 	// the limiter; beyond the cap, cancellation degrades to the plain
 	// kind. See NewDetachLimit.
 	DetachLimit *DetachLimit
-
-	// CacheSalt is the deployment secret that HMACs persisted plan
-	// records (ignored under SharedCache, which carries its own salt):
-	// a disk cache written under one salt loads as all-misses under any
-	// other, and tampered records are rejected rather than trusted. See
-	// plancache.Options.Salt.
-	CacheSalt []byte
-
-	// Peers lists the base URLs of fleet peers (other t10serve
-	// replicas) whose /plans stores answer cache misses before a cold
-	// search runs. Shorthand for Remote with default robustness
-	// settings (timeouts, retries, circuit breakers); records fetched
-	// from peers still pass this deployment's provenance verification
-	// (CacheSalt) before use. Ignored under SharedCache, which carries
-	// its own remote tier, and when Remote is set.
-	Peers []string
-
-	// Remote, when non-nil, attaches a fully configured peer tier to
-	// the plan cache (overrides Peers; ignored under SharedCache). The
-	// compiler takes ownership only of its use, not its lifecycle —
-	// the caller still Closes it on shutdown.
-	Remote *plancache.Remote
 }
 
 // DefaultOptions returns the paper's defaults.
@@ -276,7 +261,7 @@ type Compiler struct {
 
 	searcher *search.Searcher
 
-	// pool is the compile-wide worker budget shared by CompileModel's
+	// pool is the compile-wide worker budget shared by Compile's
 	// operator pool and the searcher's Fop shards: Workers-1 helper
 	// slots when private, or the server-wide Opts.SharedPool.
 	pool *sema.Sem
@@ -324,6 +309,9 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Cache != nil && (opts.CacheDir != "" || len(opts.CacheSalt) > 0) {
+		return nil, errors.New("t10: Options.Cache carries its own directory and salt; leave CacheDir and CacheSalt empty")
+	}
 	cm, err := costmodel.NewSet(spec)
 	if err != nil {
 		return nil, err
@@ -337,26 +325,14 @@ func New(spec *device.Spec, opts Options, copts ...CompilerOption) (*Compiler, e
 		pool = sema.New(workers - 1)
 	}
 	s := search.New(spec, cm, opts.Constraints, opts.PlanConfig)
-	s.KeepAll = opts.KeepAllCandidates
 	s.NoPrune = opts.ExactSpaceAccounting
 	s.Workers = workers
 	s.Pool = pool
-	if opts.SharedCache != nil {
-		s.SetCache(opts.SharedCache)
-	} else {
-		if opts.CacheDir != "" || opts.CacheEntries != 0 {
-			s.SetCache(plancache.New(plancache.Options{
-				MaxEntries: opts.CacheEntries,
-				Dir:        opts.CacheDir,
-				Salt:       opts.CacheSalt,
-			}))
-		}
-		if remote := opts.Remote; remote != nil {
-			s.Cache().SetRemote(remote)
-		} else if len(opts.Peers) > 0 {
-			s.Cache().SetRemote(plancache.NewRemote(plancache.RemoteOptions{Peers: opts.Peers}))
-		}
+	cache := opts.Cache
+	if opts.CacheDir != "" {
+		cache = plancache.New(plancache.Options{Dir: opts.CacheDir, Salt: opts.CacheSalt})
 	}
+	s.SetCache(cache) // nil keeps the searcher's private in-memory cache
 	c := &Compiler{
 		Spec: spec, CM: cm, Opts: opts, searcher: s,
 		pool: pool, shared: opts.SharedPool != nil, workers: workers,

@@ -1,7 +1,9 @@
 package t10
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/device"
@@ -31,7 +33,7 @@ func mk2Compiler(t *testing.T) *Compiler {
 
 func TestCompileSingleOp(t *testing.T) {
 	c := mk2Compiler(t)
-	r, err := c.SearchOp(expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16))
+	r, err := c.Search(context.Background(), expr.MatMul("mm", 1024, 1024, 4096, dtype.FP16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestCompileSingleOp(t *testing.T) {
 
 func TestCompileAndSimulateBERT(t *testing.T) {
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +67,7 @@ func TestCompileAndSimulateBERT(t *testing.T) {
 func TestT10BeatsRollerOnBERT(t *testing.T) {
 	// The headline result (Fig 12): T10 outperforms the VGM baselines.
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +101,11 @@ func TestInterOpReconciliationHelps(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := models.BERT(1)
-	e1, err := cWith.CompileModel(m)
+	e1, err := cWith.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := cWithout.CompileModel(models.BERT(1))
+	e2, err := cWithout.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,19 +118,20 @@ func TestInterOpReconciliationHelps(t *testing.T) {
 }
 
 func TestCustomCostFunction(t *testing.T) {
-	c, err := New(device.IPUMK2(), DefaultOptions())
+	// the search's Fop-shard workers price concurrently, so the flag the
+	// cost function raises must be safe to set from any of them
+	var called atomic.Bool
+	c, err := New(device.IPUMK2(), DefaultOptions(), WithCostFunc("special", func(task kernel.Task) float64 {
+		called.Store(true)
+		return 1000
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	called := false
-	c.RegisterCostFunc("special", func(task kernel.Task) float64 {
-		called = true
-		return 1000
-	})
-	if _, err := c.SearchOp(expr.MatMul("special", 256, 256, 256, dtype.FP16)); err != nil {
+	if _, err := c.Search(context.Background(), expr.MatMul("special", 256, 256, 256, dtype.FP16)); err != nil {
 		t.Fatal(err)
 	}
-	if !called {
+	if !called.Load() {
 		t.Error("custom cost function never consulted")
 	}
 }
@@ -136,7 +139,7 @@ func TestCustomCostFunction(t *testing.T) {
 func TestLLMDecodeCompiles(t *testing.T) {
 	c := mk2Compiler(t)
 	cfg := models.LLMConfigs()[0] // OPT-1.3B
-	exe, err := c.CompileModel(models.LLMDecode(cfg, 8))
+	exe, err := c.Compile(context.Background(), models.LLMDecode(cfg, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +154,14 @@ func TestInvalidModelRejected(t *testing.T) {
 	c := mk2Compiler(t)
 	m := models.BERT(1)
 	m.Ops[0].Sources[0] = 99
-	if _, err := c.CompileModel(m); err == nil {
+	if _, err := c.Compile(context.Background(), m); err == nil {
 		t.Error("invalid model should be rejected")
 	}
 }
 
 func TestSimulateChargesSetupAndTransitions(t *testing.T) {
 	c := mk2Compiler(t)
-	exe, err := c.CompileModel(models.BERT(1))
+	exe, err := c.Compile(context.Background(), models.BERT(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +180,7 @@ func TestTrainingStepCompiles(t *testing.T) {
 	// and update ops all plan and simulate.
 	c := mk2Compiler(t)
 	m := models.TransformerTrainingStep(2, 128, 1024, 4096, 2)
-	exe, err := c.CompileModel(m)
+	exe, err := c.Compile(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,88 +33,10 @@ func sameExecutables(t *testing.T, a, b *Executable) {
 	}
 }
 
-// TestV1ShimEquivalence pins the deprecated shims to the v2 entry
-// points: CompileModel/SearchOp on one fresh compiler and
-// Compile/Search on another must produce bit-identical plans AND leave
-// identical plan-cache contents behind (same entry count, same set of
-// answerable ops).
-func TestV1ShimEquivalence(t *testing.T) {
-	spec := device.IPUMK2()
-	v1, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := models.BERT(1)
-	e := expr.MatMul("mm", 512, 512, 2048, dtype.FP16)
-
-	r1, err := v1.SearchOp(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := v2.Search(context.Background(), e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r1.Pareto) != len(r2.Pareto) {
-		t.Fatalf("pareto sizes differ: %d vs %d", len(r1.Pareto), len(r2.Pareto))
-	}
-	for i := range r1.Pareto {
-		if r1.Pareto[i].Plan.String() != r2.Pareto[i].Plan.String() || r1.Pareto[i].Est != r2.Pareto[i].Est {
-			t.Fatalf("pareto[%d] differs between SearchOp and Search", i)
-		}
-	}
-
-	e1, err := v1.CompileModel(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := v2.Compile(context.Background(), models.BERT(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameExecutables(t, e1, e2)
-
-	// identical cache contents: same entry count, and every unique op of
-	// the workload answerable (or not) identically from both caches
-	if n1, n2 := v1.PlanCache().Len(), v2.PlanCache().Len(); n1 != n2 {
-		t.Fatalf("cache entry counts differ: v1=%d v2=%d", n1, n2)
-	}
-	est1, err := v1.EstimateCost(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	est2, err := v2.EstimateCost(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if est1 != est2 {
-		t.Fatalf("cache probe views differ: v1=%+v v2=%+v", est1, est2)
-	}
-	if est1.CachedOps != est1.Ops {
-		t.Fatalf("compiled model not fully cached: %+v", est1)
-	}
-	if _, err := v1.EstimateOpCost(e); err != nil {
-		t.Fatal(err)
-	}
-
-	// the ctx shims too
-	if _, err := v1.CompileModelCtx(context.Background(), models.BERT(1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v1.SearchOpCtx(context.Background(), e); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWithCostFuncMatchesRegisterCostFunc pins construction-scoped
-// registration to the deprecated mutation path, and the monotone
-// declaration to the opaque one: all three select bit-identical Pareto
-// sets (the compute floor only prunes, never changes selection).
-func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
+// TestWithMonotoneCostFuncMatchesOpaque pins the monotone declaration
+// to the opaque registration: both select bit-identical Pareto sets
+// (the compute floor only prunes, never changes selection).
+func TestWithMonotoneCostFuncMatchesOpaque(t *testing.T) {
 	spec := device.IPUMK2().Subset(64)
 	f := func(task kernel.Task) float64 {
 		return float64(task.M)*float64(task.N)*float64(task.K)*1e-3 +
@@ -130,14 +52,9 @@ func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMutation, err := New(spec, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMutation.RegisterCostFunc("special", f)
 
-	rs := make([][]string, 3)
-	for i, c := range []*Compiler{viaOption, viaMonotone, viaMutation} {
+	rs := make([][]string, 2)
+	for i, c := range []*Compiler{viaOption, viaMonotone} {
 		r, err := c.Search(context.Background(), e)
 		if err != nil {
 			t.Fatal(err)
@@ -146,14 +63,12 @@ func TestWithCostFuncMatchesRegisterCostFunc(t *testing.T) {
 			rs[i] = append(rs[i], cand.Plan.String())
 		}
 	}
-	for i := 1; i < 3; i++ {
-		if len(rs[i]) != len(rs[0]) {
-			t.Fatalf("registration path %d: %d Pareto plans, want %d", i, len(rs[i]), len(rs[0]))
-		}
-		for j := range rs[0] {
-			if rs[i][j] != rs[0][j] {
-				t.Fatalf("registration path %d: plan %d differs", i, j)
-			}
+	if len(rs[1]) != len(rs[0]) {
+		t.Fatalf("monotone registration: %d Pareto plans, want %d", len(rs[1]), len(rs[0]))
+	}
+	for j := range rs[0] {
+		if rs[1][j] != rs[0][j] {
+			t.Fatalf("monotone registration: plan %d differs", j)
 		}
 	}
 }
